@@ -4,18 +4,20 @@ Every protocol of the paper bottoms out in three Paillier primitives —
 encryption, decryption and ciphertext exponentiation (Section 4.4) — so this
 bench measures exactly those, comparing
 
-* the **scalar path**: one Python call per operation, textbook ``r**N``
-  obfuscators and ``c**(N-1)`` negations, against
+* the **per-call path**: one Python call per operation, with textbook
+  ``r**N`` obfuscators, against
 * the **batch path**: ``encrypt_batch`` / ``decrypt_batch`` /
-  ``scalar_mul_batch``, with fixed-base windowed obfuscator generation and
-  the modular-inverse negation shortcut,
+  ``scalar_mul_batch``, with fixed-base windowed obfuscator generation,
 
 on identical workloads (same plaintexts, same scalar mix).  The scalar-mul
 workload mirrors the protocols' real mix — one homomorphic negation plus two
-uniform-scalar exponentiations per SSED attribute (the SM unmask pair).
+uniform-scalar exponentiations per SSED attribute (the SM unmask pair).  Both
+paths negate by modular inverse: ``c * -1`` and ``scalar_mul_batch`` share
+``PaillierPublicKey.raw_scalar_mul``.
 
 A second test compares an end-to-end SkNN_b query through the batched scan
-against the seed's per-record serial scan on the same table and key.
+against a per-record scan (one SSED round per record) on the same table and
+key.
 
 Key size defaults to the paper's K=512; CI smoke runs set
 ``REPRO_BENCH_KERNEL_BITS=256`` (the vectorized path must still win there,
@@ -200,7 +202,7 @@ def test_kernel_gmpy2_backend(kernel_keypair, results_dir):
 
 
 def test_kernel_end_to_end_sknnb(benchmark, kernel_keypair, results_dir):
-    """A full SkNN_b query through the batched scan vs the seed serial scan."""
+    """A full SkNN_b query through the batched scan vs a per-record scan."""
     table = synthetic_uniform(n_records=E2E_N, dimensions=E2E_M,
                               distance_bits=10, seed=900)
     owner = DataOwner(table, keypair=kernel_keypair, rng=Random(901))
@@ -213,8 +215,10 @@ def test_kernel_end_to_end_sknnb(benchmark, kernel_keypair, results_dir):
     ssed = SecureSquaredEuclideanDistance(cloud.setting)
 
     def seed_style_distance_scan():
-        """The seed's per-record scan: n sequential SSED runs + n decrypts."""
-        encrypted = [ssed.run(list(encrypted_query), list(r.ciphertexts))
+        """A per-record scan: n sequential one-record SSED rounds + n
+        decrypts."""
+        encrypted = [ssed.run_many(list(encrypted_query),
+                                   [list(r.ciphertexts)])[0]
                      for r in cloud.c1.encrypted_table]
         return [cloud.c2.decrypt_residue(c) for c in encrypted]
 
@@ -237,5 +241,5 @@ def test_kernel_end_to_end_sknnb(benchmark, kernel_keypair, results_dir):
         "key_size": KERNEL_KEY_BITS,
     })
     # The batched *full query* (scan + selection + delivery) must beat the
-    # seed's distance scan alone — a strictly conservative comparison.
+    # per-record distance scan alone — a strictly conservative comparison.
     assert timings["batched_full_query_s"] < timings["seed_distance_scan_s"]

@@ -3,6 +3,7 @@
 Not a figure of the paper, but the foundation of the calibrated projections:
 the per-operation costs of Paillier encryption/decryption/exponentiation and
 the per-invocation costs of the Section 3 sub-protocols (SM, SSED, SBD, SMIN).
+One invocation is a batch of one through each protocol's batch entry point.
 Comparing these against the operation-count model is what justifies using the
 model to extrapolate the paper-scale figures.
 """
@@ -65,44 +66,46 @@ def test_paillier_scalar_multiplication(benchmark, measured_keypair):
 
 
 def test_protocol_sm(benchmark, primitive_setting):
-    """One Secure Multiplication invocation."""
+    """One Secure Multiplication invocation (a batch of one pair)."""
     public = primitive_setting.public_key
     enc_a, enc_b = public.encrypt(59), public.encrypt(58)
     protocol = SecureMultiplication(primitive_setting)
     benchmark.extra_info.update({"primitive": "SM", "key_size": MEASURED_KEY_BITS})
-    benchmark(lambda: protocol.run(enc_a, enc_b))
+    benchmark(lambda: protocol.run_batch([(enc_a, enc_b)]))
 
 
 @pytest.mark.parametrize("dimensions", [6, 12])
 def test_protocol_ssed(benchmark, primitive_setting, dimensions):
-    """One SSED invocation at the paper's attribute counts."""
+    """One SSED invocation at the paper's attribute counts (one record)."""
     public = primitive_setting.public_key
     enc_x = public.encrypt_vector(list(range(dimensions)))
     enc_y = public.encrypt_vector(list(range(dimensions, 2 * dimensions)))
     protocol = SecureSquaredEuclideanDistance(primitive_setting)
     benchmark.extra_info.update({"primitive": "SSED", "m": dimensions,
                                  "key_size": MEASURED_KEY_BITS})
-    benchmark(lambda: protocol.run(enc_x, enc_y))
+    benchmark(lambda: protocol.run_many(enc_x, [enc_y]))
 
 
 @pytest.mark.parametrize("bit_length", [6, 12])
 def test_protocol_sbd(benchmark, primitive_setting, bit_length):
-    """One SBD invocation at the paper's l values."""
+    """One SBD invocation at the paper's l values (a batch of one)."""
     public = primitive_setting.public_key
     enc_z = public.encrypt(37 % (1 << bit_length))
     protocol = SecureBitDecomposition(primitive_setting, bit_length)
     benchmark.extra_info.update({"primitive": "SBD", "l": bit_length,
                                  "key_size": MEASURED_KEY_BITS})
-    benchmark.pedantic(lambda: protocol.run(enc_z), rounds=3, iterations=1)
+    benchmark.pedantic(lambda: protocol.run_batch([enc_z]), rounds=3,
+                       iterations=1)
 
 
 @pytest.mark.parametrize("bit_length", [6, 12])
 def test_protocol_smin(benchmark, primitive_setting, bit_length):
-    """One SMIN invocation at the paper's l values."""
+    """One SMIN invocation at the paper's l values (a batch of one pair)."""
     public = primitive_setting.public_key
     enc_u = encrypt_bits(public, 21 % (1 << bit_length), bit_length)
     enc_v = encrypt_bits(public, 42 % (1 << bit_length), bit_length)
     protocol = SecureMinimum(primitive_setting)
     benchmark.extra_info.update({"primitive": "SMIN", "l": bit_length,
                                  "key_size": MEASURED_KEY_BITS})
-    benchmark.pedantic(lambda: protocol.run(enc_u, enc_v), rounds=3, iterations=1)
+    benchmark.pedantic(lambda: protocol.run_batch([(enc_u, enc_v)]),
+                       rounds=3, iterations=1)

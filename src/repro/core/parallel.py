@@ -56,17 +56,11 @@ __all__ = [
     "ParallelSkNNBasic",
     "ParallelRunReport",
     "PersistentWorkerPool",
-    "ssed_record_worker",
     "ssed_chunk_worker",
     "chunk_records",
 ]
 
 Backend = Literal["thread", "process", "serial"]
-
-#: Scalar reference task: (record_index, record ciphertext ints, query
-#: ciphertext ints, modulus N, prime p, prime q, RNG seed).  Kept as the
-#: per-record oracle the chunked kernel is tested against.
-WorkerTask = tuple[int, list[int], list[int], int, int, int, int]
 
 #: Chunked worker task: (chunk start index, several records' ciphertext ints,
 #: several queries' ciphertext ints, modulus N, prime p, prime q, RNG seed,
@@ -96,60 +90,6 @@ class ParallelRunReport:
     distance_phase_seconds: float
     selection_phase_seconds: float
     total_seconds: float
-
-
-def _record_squared_distance(public_key: PaillierPublicKey,
-                             private_key: PaillierPrivateKey, rng: Random,
-                             record_values: list[int],
-                             query_values: list[int]) -> int:
-    """One record's squared Euclidean distance over ciphertexts.
-
-    Performs, for every attribute, the same operation sequence as the serial
-    SSED protocol: homomorphic difference, additive masking, decryption of the
-    masked difference, squaring, re-encryption and unmasking — so the
-    per-record Paillier operation count matches the serial protocol and
-    measured speedups reflect genuine parallelization of the paper's workload.
-    """
-    n = public_key.n
-    total: Ciphertext | None = None
-    for record_value, query_value in zip(record_values, query_values):
-        enc_record = Ciphertext(public_key, record_value)
-        enc_query = Ciphertext(public_key, query_value)
-        enc_diff = enc_record + (enc_query * (n - 1))
-
-        # SM(enc_diff, enc_diff): mask, decrypt, square, encrypt, unmask.
-        mask = rng.randrange(n)
-        masked = enc_diff + public_key.encrypt(mask, rng=rng)
-        masked_plain = private_key.decrypt_raw_residue(masked)
-        enc_square_masked = public_key.encrypt((masked_plain * masked_plain) % n,
-                                               rng=rng)
-        enc_square = enc_square_masked + (enc_diff * ((n - 2 * mask) % n))
-        enc_square = enc_square + (-(mask * mask) % n)
-
-        total = enc_square if total is None else total + enc_square
-
-    assert total is not None
-    return private_key.decrypt_raw_residue(total)
-
-
-def ssed_record_worker(task: WorkerTask) -> tuple[int, int]:
-    """Compute one record's squared Euclidean distance over ciphertexts.
-
-    Re-creates the key objects from the raw parameters (worker processes
-    cannot share Python objects with the driver), then delegates to the same
-    SSED sequence the serial protocol performs.
-
-    Returns:
-        ``(record_index, squared_distance)`` where the distance is the
-        plaintext value C2 learns in SkNN_b.
-    """
-    record_index, record_values, query_values, n, p, q, seed = task
-    public_key = PaillierPublicKey(n)
-    private_key = PaillierPrivateKey(public_key, p, q)
-    rng = Random(seed)
-    distance = _record_squared_distance(public_key, private_key, rng,
-                                        record_values, query_values)
-    return record_index, distance
 
 
 #: Per-process cache of reconstructed key objects, keyed by the modulus.
@@ -186,14 +126,15 @@ def _chunk_squared_distances(public_key: PaillierPublicKey,
                              pool=None) -> list[list[int]]:
     """Squared distances of every (record, query) pair, vectorized.
 
-    Performs the same per-attribute protocol sequence as
-    :func:`_record_squared_distance` — homomorphic difference, additive
-    masking, decryption of the masked difference, squaring, re-encryption and
-    unmasking — with three chunk-level batching effects:
+    Performs, for every attribute, the same operation sequence as the SSED
+    protocol — homomorphic difference, additive masking, decryption of the
+    masked difference, squaring, re-encryption and unmasking — so the
+    per-record Paillier operation count matches the serial protocol and
+    measured speedups reflect genuine parallelization of the paper's
+    workload.  Three chunk-level batching effects apply:
 
     * the query-side negation ``E(-q_j)`` is computed once per (chunk, query)
-      instead of once per (record, query) — a modular inversion replacing
-      ``len(records)`` full exponentiations, valid since the squared
+      instead of once per (record, query), valid since the squared
       difference is sign-invariant;
     * mask and square encryptions draw obfuscators from the key's fixed-base
       window table (built once per worker process);
@@ -205,18 +146,17 @@ def _chunk_squared_distances(public_key: PaillierPublicKey,
     from repro.crypto.backend import get_backend
 
     backend = get_backend()
-    mulmod, invert, powmod = backend.mulmod, backend.invert, backend.powmod
+    mulmod, powmod = backend.mulmod, backend.powmod
     n = public_key.n
     nsquare = public_key.nsquare
     dimensions = len(queries[0]) if queries else 0
     out: list[list[int]] = [[0] * len(queries) for _ in records]
 
     for query_index, query_values in enumerate(queries):
-        neg_query = [invert(value, nsquare) for value in query_values]
+        neg_query = [public_key.raw_scalar_mul(value, -1)
+                     for value in query_values]
 
-        # E(t_ij - q_j) for every record and attribute (flattened) — the
-        # modular inverse E(q_j)**-1 is an encryption of -q_j, so the
-        # product matches the serial worker's E(t_ij) * E(q_j)**(N-1).
+        # E(t_ij - q_j) for every record and attribute (flattened).
         diffs = [
             mulmod(record_values[j], neg_query[j], nsquare)
             for record_values in records

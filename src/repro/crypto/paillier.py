@@ -303,22 +303,20 @@ class PaillierPublicKey:
 
         The scalar is reduced into ``Z_N`` first, so negative scalars follow
         the paper's ``-x == N - x (mod N)`` convention automatically.
+
+        This is the one place that decides how to negate.  An exponent
+        ``N - 1`` (a scalar ``-1``) takes the modular inverse: ``E(a)**-1 mod
+        N**2 = g**-a * (r**-1)**N`` is a valid encryption of ``-a`` and costs
+        a small fraction of the ``E(a)**(N-1)`` exponentiation (about 18x
+        less at K=512 on CPython).  It is *counted* as one exponentiation
+        because it replaces exactly one in the paper's accounting, keeping
+        the Section 4.4 operation counts unchanged.
         """
         self.counter.exponentiations += 1
-        return get_backend().powmod(c, scalar % self.n, self.nsquare)
-
-    def raw_negate(self, c: int) -> int:
-        """Homomorphic negation ``E(-a)`` via modular inversion of ``E(a)``.
-
-        ``E(a)**-1 mod N**2 = g**-a * (r**-1)**N`` is a valid encryption of
-        ``-a``, and a modular inverse costs a small fraction of the
-        ``E(a)**(N-1)`` exponentiation the textbook negation performs (about
-        18x less at K=512 on CPython).  It is *counted* as one exponentiation
-        because it replaces exactly one in the paper's accounting, keeping the
-        Section 4.4 operation counts comparable across code paths.
-        """
-        self.counter.exponentiations += 1
-        return get_backend().invert(c, self.nsquare)
+        exponent = scalar % self.n
+        if exponent == self.n - 1:
+            return get_backend().invert(c, self.nsquare)
+        return get_backend().powmod(c, exponent, self.nsquare)
 
     # -- batched kernel ------------------------------------------------------
     def _check_batch_key(self, ciphertexts: Sequence["Ciphertext"]) -> None:
@@ -420,11 +418,9 @@ class PaillierPublicKey:
                          scalars: Sequence[int] | int) -> list["Ciphertext"]:
         """Homomorphic scalar multiplication over whole vectors.
 
-        Element-wise equivalent to ``[c * s for c, s in zip(...)]`` — and raw
-        identical to it, except that scalars congruent to ``-1 mod N``
-        (homomorphic negation, the protocols' most common scalar) take the
-        modular-inverse shortcut of :meth:`raw_negate`.  Counters advance by
-        one exponentiation per element, exactly like the scalar path.
+        Element-wise identical to ``[c * s for c, s in zip(...)]``: every
+        element goes through :meth:`raw_scalar_mul` (so negations take the
+        inverse shortcut) and counts one exponentiation.
 
         Args:
             ciphertexts: the operand vector.
@@ -436,22 +432,9 @@ class PaillierPublicKey:
             raise EncryptionError(
                 "scalar_mul_batch needs exactly one scalar per ciphertext")
         self._check_batch_key(ciphertexts)
-        n = self.n
-        nsquare = self.nsquare
-        backend = get_backend()
-        powmod = backend.powmod
-        invert = backend.invert
-        negation = n - 1
-        out = []
-        for ciphertext, scalar in zip(ciphertexts, scalars):
-            exponent = scalar % n
-            if exponent == negation:
-                raw = invert(ciphertext.value, nsquare)
-            else:
-                raw = powmod(ciphertext.value, exponent, nsquare)
-            out.append(Ciphertext(self, raw))
-        self.counter.exponentiations += len(out)
-        return out
+        raw_scalar_mul = self.raw_scalar_mul
+        return [Ciphertext(self, raw_scalar_mul(ciphertext.value, scalar))
+                for ciphertext, scalar in zip(ciphertexts, scalars)]
 
     def add_batch(self, left: Sequence["Ciphertext"],
                   right: Sequence["Ciphertext"]) -> list["Ciphertext"]:
@@ -699,9 +682,8 @@ class Ciphertext:
     def __mul__(self, scalar: int) -> "Ciphertext":
         if not isinstance(scalar, int):
             return NotImplemented
-        encoded = scalar % self.public_key.n
         return Ciphertext(
-            self.public_key, self.public_key.raw_scalar_mul(self.value, encoded)
+            self.public_key, self.public_key.raw_scalar_mul(self.value, scalar)
         )
 
     __rmul__ = __mul__

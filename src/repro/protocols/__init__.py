@@ -9,6 +9,13 @@ key) and the decryptor P2 (cloud C2, holds the Paillier secret key):
 * :class:`SecureMinimum` (SMIN) — ``[u], [v] -> [min(u, v)]``
 * :class:`SecureMinimumOfN` (SMIN_n) — ``[d_1..d_n] -> [min]``
 * :class:`SecureBitOr` (SBOR) / :class:`SecureBitXor` (SBXOR)
+
+Each protocol has a single execution path, its batch entry point:
+``run_batch`` (SM, SBD, SMIN, SBOR, SBXOR), ``run_many`` (SSED, one vector
+against many) and ``run_square_batch`` (SM on pairs ``(a, a)``); SMIN_n's
+``run`` already takes the whole vector.  A single input is a batch of one —
+``SecureMultiplication(setting).run_batch([(enc_a, enc_b)])[0]`` — and
+costs what the paper's scalar protocol costs, in fewer messages.
 """
 
 from repro.protocols.base import ProtocolResult, TwoPartyProtocol

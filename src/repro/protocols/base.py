@@ -7,10 +7,14 @@ two parties:
 * ``P2`` — the decryptor (cloud C2): holds the Paillier secret key.
 
 Protocol classes derive from :class:`TwoPartyProtocol`, which stores the
-:class:`~repro.network.party.TwoPartySetting` and exposes the small set of
+:class:`~repro.network.party.TwoPartySetting` and exposes the vectorized
 ciphertext manipulations that appear over and over in the paper's algorithms
-(homomorphic subtraction, multiplication by ``N - r`` to realize ``-r``, and
-fresh randomization).
+(homomorphic negation and subtraction, plaintext-constant addition) plus the
+engine-backed masks and constants.
+
+Every protocol has one execution path: its batch entry point (``run_batch``,
+``run_many``, ``run_square_batch``; ``run`` for SMIN_n, whose input is
+already a vector).  A single input is a batch of one.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - import used for annotations only
     from repro.crypto.precompute import PrecomputeEngine
@@ -243,29 +247,16 @@ class TwoPartyProtocol(P2StepDispatcher):
         return party.encrypt_batch(values)
 
     # -- ciphertext helpers -----------------------------------------------------
-    def sub(self, left: Ciphertext, right: Ciphertext) -> Ciphertext:
-        """Homomorphic subtraction ``E(a - b) = E(a) * E(b)^{N-1}``."""
-        return left + (right * (self.pk.n - 1))
-
-    def scale(self, ciphertext: Ciphertext, scalar: int) -> Ciphertext:
-        """Homomorphic scalar multiplication ``E(a * s) = E(a)^s``."""
-        return ciphertext * (scalar % self.pk.n)
-
     def add_plain(self, ciphertext: Ciphertext, value: int) -> Ciphertext:
         """Homomorphic addition of a plaintext constant (mod N)."""
         return ciphertext + (value % self.pk.n)
 
-    def encrypt_constant(self, value: int) -> Ciphertext:
-        """Fresh probabilistic encryption of a constant by P1."""
-        return self.p1.encrypt(value)
-
     # -- vectorized ciphertext helpers ----------------------------------------
     def neg_batch(self, ciphertexts: "list[Ciphertext]") -> "list[Ciphertext]":
-        """Vectorized homomorphic negation ``E(-a)`` (inverse shortcut).
+        """Vectorized homomorphic negation ``E(-a)``.
 
-        Counted as one exponentiation per element, like the textbook
-        ``E(a)**(N-1)`` it replaces (see
-        :meth:`~repro.crypto.paillier.PaillierPublicKey.scalar_mul_batch`).
+        One exponentiation per element, served by the modular inverse (see
+        :meth:`~repro.crypto.paillier.PaillierPublicKey.raw_scalar_mul`).
         """
         return self.pk.scalar_mul_batch(ciphertexts, -1)
 
@@ -281,7 +272,7 @@ class TwoPartyProtocol(P2StepDispatcher):
 
     # -- instrumentation --------------------------------------------------------
     def round_span(self, operation: str, **attributes: Any):
-        """Telemetry for one protocol round (a ``run``/``run_batch`` entry).
+        """Telemetry for one protocol round (one batch entry point call).
 
         Always increments ``repro_protocol_rounds_total{protocol,operation}``
         and returns a trace span named ``<name>.<operation>`` — a shared
@@ -294,19 +285,22 @@ class TwoPartyProtocol(P2StepDispatcher):
         span = _tracing.span(f"{self.name}.{operation}", **attributes)
         return _profiling.wrap_span(span, self.name)
 
-    def run_instrumented(self, *args: Any, **kwargs: Any) -> ProtocolResult:
-        """Run the protocol and collect operation/traffic statistics.
+    def run_instrumented(self, entry_point: Callable[..., Any], *args: Any,
+                         **kwargs: Any) -> ProtocolResult:
+        """Call ``entry_point(*args, **kwargs)`` and collect its statistics.
 
-        The counters of both parties and the channel are snapshotted before
-        and after the run, so nested usage (e.g. SSED calling SM) attributes
-        all work to the outermost instrumented call.
+        ``entry_point`` is the protocol entry point to measure, typically a
+        bound method of this instance such as ``protocol.run_batch``.  The
+        counters of both parties and the channel are snapshotted before and
+        after the call, so nested usage (e.g. SSED calling SM) attributes all
+        work to the outermost instrumented call.
         """
         pk_counter_before = self.pk.counter.snapshot()
         sk_counter_before = self.p2.private_key.counter.snapshot()
         traffic_before = self.setting.channel.total_traffic().snapshot()
 
         started = time.perf_counter()
-        output = self.run(*args, **kwargs)
+        output = entry_point(*args, **kwargs)
         elapsed = time.perf_counter() - started
 
         pk_counter_after = self.pk.counter.snapshot()
@@ -342,5 +336,9 @@ class TwoPartyProtocol(P2StepDispatcher):
         return ProtocolResult(output=output, stats=stats)
 
     def run(self, *args: Any, **kwargs: Any) -> Any:
-        """Execute the protocol; implemented by subclasses."""
+        """Execute the protocol on one input vector.
+
+        Only :class:`~repro.protocols.sminn.SecureMinimumOfN` implements it;
+        the pairwise sub-protocols expose batch entry points instead.
+        """
         raise NotImplementedError

@@ -44,7 +44,6 @@ class SecureBitDecomposition(TwoPartyProtocol):
     name = "SBD"
 
     P2_STEPS = {
-        "SBD.masked_value": "_p2_parity_of_masked",
         "SBD.batch_masked_values": "_p2_parity_of_masked_batch",
     }
 
@@ -64,35 +63,19 @@ class SecureBitDecomposition(TwoPartyProtocol):
         self.bit_length = bit_length
         self._inv_two = nt.modinv(2, self.pk.n)
 
-    @traced_round("run")
-    def run(self, enc_z: Ciphertext) -> list[Ciphertext]:
-        """Compute ``[z]`` (MSB first) from ``Epk(z)``.
-
-        Args:
-            enc_z: encryption of a value in ``[0, 2**l)``.
-
-        Returns:
-            List of ``l`` ciphertexts, each an encryption of one bit of ``z``,
-            most significant bit first.  Known only to P1.
-        """
-        bits_lsb_first: list[Ciphertext] = []
-        current = enc_z
-        for _ in range(self.bit_length):
-            enc_bit, current = self._extract_lsb(current)
-            bits_lsb_first.append(enc_bit)
-        return list(reversed(bits_lsb_first))
-
     @traced_round("run_batch", sized=True)
     def run_batch(self, enc_values: Sequence[Ciphertext]
                   ) -> list[list[Ciphertext]]:
         """Bit-decompose a whole vector of encrypted values at once.
 
-        Functionally identical to ``[self.run(c) for c in enc_values]`` with
-        the same per-value operation counts, but each of the ``l`` bit rounds
-        processes *every* value in one message exchange (2 messages per round
-        instead of ``2 * len(enc_values)``), with all encryptions and
-        decryptions going through the vectorized kernel.  SkNN_m uses this to
-        decompose all ``n`` record distances up front.
+        Each of the ``l`` bit rounds processes *every* value in one message
+        exchange (2 messages per round, whatever the number of values), with
+        all encryptions and decryptions going through the vectorized kernel.
+        SkNN_m uses this to decompose all ``n`` record distances up front; a
+        single value is a batch of one.
+
+        Args:
+            enc_values: encryptions of values in ``[0, 2**l)``.
 
         Returns:
             One bit vector (MSB first) per input value, in input order.
@@ -124,42 +107,25 @@ class SecureBitDecomposition(TwoPartyProtocol):
         self.p2_step("SBD.batch_masked_values")
 
         received = self.p1.receive(expected_tag="SBD.batch_masked_parities")
-        # Un-flip the parity wherever P1's mask was odd (same expected cost
-        # as the scalar path: one E(1) and one subtraction per odd mask).
+        # Un-flip the parity wherever P1's mask was odd: E(1 - b), one E(1)
+        # and one subtraction per odd mask.
         odd_indices = [i for i, mask in enumerate(masks) if mask % 2 == 1]
         if odd_indices:
             ones = self.encrypt_pooled_constants(
                 self.p1, [1] * len(odd_indices))
-            flipped = self.pk.add_batch(
-                ones, self.neg_batch([received[i] for i in odd_indices]))
+            flipped = self.sub_batch(ones,
+                                     [received[i] for i in odd_indices])
             enc_bits = list(received)
             for position, index in enumerate(odd_indices):
                 enc_bits[index] = flipped[position]
         else:
             enc_bits = list(received)
 
-        # E((value - bit) / 2) for every value.
+        # E((value - bit) / 2) for every value: multiplication by 2^{-1} mod
+        # N, exact because value - bit is even.
         halved = self.pk.scalar_mul_batch(
-            self.pk.add_batch(enc_values, self.neg_batch(enc_bits)),
-            self._inv_two,
-        )
+            self.sub_batch(enc_values, enc_bits), self._inv_two)
         return enc_bits, halved
-
-    # -- one round: extract the least significant bit -----------------------------
-    def _extract_lsb(self, enc_value: Ciphertext) -> tuple[Ciphertext, Ciphertext]:
-        """Extract ``Epk(value mod 2)`` and return it with ``Epk(value // 2)``."""
-        mask, enc_mask = self._p1_take_mask()
-        masked = enc_value + enc_mask
-        self.p1.send(masked, tag="SBD.masked_value")
-        self.p2_step("SBD.masked_value")
-
-        received = self.p1.receive(expected_tag="SBD.masked_parity")
-        enc_bit = self._p1_unmask_parity(received, mask)
-
-        # E((value - bit) / 2): subtract the bit and multiply by 2^{-1} mod N.
-        # Exact because value - bit is even.
-        enc_halved = self.sub(enc_value, enc_bit) * self._inv_two
-        return enc_bit, enc_halved
 
     def _p1_take_mask(self) -> tuple[int, Ciphertext]:
         """A mask tuple ``(r, E(r))`` with ``r`` uniform in ``[0, N - 2**l)``.
@@ -171,26 +137,7 @@ class SecureBitDecomposition(TwoPartyProtocol):
         upper = self.pk.n - (1 << self.bit_length)
         return self.take_mask("sbd", sbd_upper=upper)
 
-    def _p1_unmask_parity(self, enc_masked_parity: Ciphertext,
-                          mask: int) -> Ciphertext:
-        """Recover ``Epk(z_lsb)`` from ``Epk((z + r) mod 2)`` given ``r``.
-
-        When the mask is even the parities agree; when it is odd the bit is
-        flipped, so P1 computes ``Epk(1 - b) = Epk(1) * Epk(b)^{N-1}``.
-        """
-        if mask % 2 == 0:
-            return enc_masked_parity
-        return self.sub(self.encrypt_pooled_constant(self.p1, 1),
-                        enc_masked_parity)
-
     # -- P2 steps ------------------------------------------------------------------
-    def _p2_parity_of_masked(self) -> None:
-        """P2 decrypts the masked value and replies with its encrypted parity."""
-        masked = self.p2.receive(expected_tag="SBD.masked_value")
-        y = self.p2.decrypt_residue(masked)
-        self.p2.send(self.encrypt_pooled_constant(self.p2, y % 2),
-                     tag="SBD.masked_parity")
-
     def _p2_parity_of_masked_batch(self) -> None:
         """Batched parity step: one vectorized decryption, pooled constants."""
         received_masked = self.p2.receive(expected_tag="SBD.batch_masked_values")

@@ -31,31 +31,22 @@ class SecureBitOr(TwoPartyProtocol):
         super().__init__(setting)
         self._sm = SecureMultiplication(setting)
 
-    @traced_round("run")
-    def run(self, enc_bit_a: Ciphertext, enc_bit_b: Ciphertext) -> Ciphertext:
-        """Compute ``Epk(o_1 OR o_2)`` from ``Epk(o_1)`` and ``Epk(o_2)``.
-
-        The inputs must encrypt bits (0 or 1); the protocol does not — and by
-        design cannot — check this, exactly as in the paper.
-        """
-        enc_and = self._sm.run(enc_bit_a, enc_bit_b)
-        # E(o1 + o2) * E(o1*o2)^{N-1}  ==  E(o1 + o2 - o1*o2)
-        return self.sub(enc_bit_a + enc_bit_b, enc_and)
-
     @traced_round("run_batch", sized=True)
     def run_batch(self, pairs: Sequence[tuple[Ciphertext, Ciphertext]]
                   ) -> list[Ciphertext]:
-        """Vectorized OR over many bit pairs (one batched SM round).
+        """``Epk(o_1 OR o_2)`` for many bit pairs (one batched SM round).
 
-        Per-pair operation counts match ``[self.run(a, b) for a, b in pairs]``
-        exactly; SkNN_m's elimination phase calls this with all ``n * l``
-        (indicator, distance-bit) pairs of an iteration.
+        ``E(o1 + o2) * E(o1*o2)^-1 == E(o1 + o2 - o1*o2)``.  The inputs must
+        encrypt bits (0 or 1); the protocol does not — and by design cannot
+        — check this, exactly as in the paper.  SkNN_m's elimination phase
+        calls this with all ``n * l`` (indicator, distance-bit) pairs of an
+        iteration.
         """
         if not pairs:
             return []
         enc_ands = self._sm.run_batch(pairs)
         sums = self.pk.add_batch([a for a, _ in pairs], [b for _, b in pairs])
-        return self.pk.add_batch(sums, self.neg_batch(enc_ands))
+        return self.sub_batch(sums, enc_ands)
 
 
 class SecureBitXor(TwoPartyProtocol):
@@ -67,11 +58,15 @@ class SecureBitXor(TwoPartyProtocol):
         super().__init__(setting)
         self._sm = SecureMultiplication(setting)
 
-    @traced_round("run")
-    def run(self, enc_bit_a: Ciphertext, enc_bit_b: Ciphertext) -> Ciphertext:
-        """Compute ``Epk(o_1 XOR o_2)`` from ``Epk(o_1)`` and ``Epk(o_2)``."""
-        enc_and = self._sm.run(enc_bit_a, enc_bit_b)
-        return self.xor_from_product(enc_bit_a, enc_bit_b, enc_and)
+    @traced_round("run_batch", sized=True)
+    def run_batch(self, pairs: Sequence[tuple[Ciphertext, Ciphertext]]
+                  ) -> list[Ciphertext]:
+        """``Epk(o_1 XOR o_2)`` for many bit pairs (one batched SM round)."""
+        if not pairs:
+            return []
+        enc_ands = self._sm.run_batch(pairs)
+        return [self.xor_from_product(a, b, enc_and)
+                for (a, b), enc_and in zip(pairs, enc_ands)]
 
     def xor_from_product(self, enc_bit_a: Ciphertext, enc_bit_b: Ciphertext,
                          enc_product: Ciphertext) -> Ciphertext:
@@ -81,4 +76,4 @@ class SecureBitXor(TwoPartyProtocol):
         ``W_i`` and ``G_i`` vectors; this helper performs only the local
         (non-interactive) part: ``E(a + b - 2ab)``.
         """
-        return self.sub(enc_bit_a + enc_bit_b, enc_product * 2)
+        return (enc_bit_a + enc_bit_b) - enc_product * 2

@@ -50,7 +50,6 @@ class SecureMinimum(TwoPartyProtocol):
     name = "SMIN"
 
     P2_STEPS = {
-        "SMIN.gamma_and_l": "_p2_decide_alpha",
         "SMIN.batch_gamma_and_l": "_p2_decide_alpha_batch",
     }
 
@@ -59,96 +58,26 @@ class SecureMinimum(TwoPartyProtocol):
         self._sm = SecureMultiplication(setting)
         self._xor = SecureBitXor(setting)
 
-    @traced_round("run")
-    def run(self, enc_u_bits: Sequence[Ciphertext],
-            enc_v_bits: Sequence[Ciphertext]) -> list[Ciphertext]:
-        """Compute ``[min(u, v)]`` from ``[u]`` and ``[v]``.
-
-        Args:
-            enc_u_bits: encrypted bits of ``u`` (MSB first).
-            enc_v_bits: encrypted bits of ``v`` (MSB first).
-
-        Returns:
-            Encrypted bits of ``min(u, v)`` (MSB first), known only to P1.
-        """
-        self.require(len(enc_u_bits) == len(enc_v_bits),
-                     "bit vectors must have equal length")
-        self.require(len(enc_u_bits) > 0, "bit vectors must be non-empty")
-        bit_length = len(enc_u_bits)
-        n = self.pk.n
-
-        # ---- P1: step 1 -----------------------------------------------------
-        # Randomly choose the oblivious functionality F.
-        f_is_u_greater = bool(self.p1.rng.getrandbits(1))
-
-        gamma_vector: list[Ciphertext] = []
-        l_vector: list[Ciphertext] = []
-        gamma_masks: list[int] = []
-
-        enc_h_previous = self.encrypt_pooled_constant(self.p1, 0)
-        for enc_u_bit, enc_v_bit in zip(enc_u_bits, enc_v_bits):
-            enc_uv = self._sm.run(enc_u_bit, enc_v_bit)
-            _, enc_gamma, enc_l, rhat, enc_h_previous = \
-                self._p1_bit_vectors(enc_u_bit, enc_v_bit, enc_uv,
-                                     f_is_u_greater, enc_h_previous)
-            gamma_masks.append(rhat)
-            gamma_vector.append(enc_gamma)
-            l_vector.append(enc_l)
-
-        # Permute Gamma and L with two independent random permutations.
-        permutation_gamma = list(range(bit_length))
-        permutation_l = list(range(bit_length))
-        self.p1.rng.shuffle(permutation_gamma)
-        self.p1.rng.shuffle(permutation_l)
-        permuted_gamma = [gamma_vector[j] for j in permutation_gamma]
-        permuted_l = [l_vector[j] for j in permutation_l]
-        self.p1.send([permuted_gamma, permuted_l], tag="SMIN.gamma_and_l")
-
-        # ---- P2: step 2 -----------------------------------------------------
-        self.p2_step("SMIN.gamma_and_l")
-
-        # ---- P1: step 3 -----------------------------------------------------
-        received_m_prime, received_alpha = self.p1.receive(
-            expected_tag="SMIN.masked_minimum"
-        )
-        # Invert the Gamma permutation.
-        unpermuted = [None] * bit_length
-        for position, original_index in enumerate(permutation_gamma):
-            unpermuted[original_index] = received_m_prime[position]
-
-        minimum_bits: list[Ciphertext] = []
-        for i in range(bit_length):
-            # lambda_i = M~_i * E(alpha)^{N - rhat_i}  ==  E(alpha * diff_i)
-            enc_lambda = unpermuted[i] + (received_alpha * (n - gamma_masks[i]))
-            if f_is_u_greater:
-                enc_min_bit = enc_u_bits[i] + enc_lambda
-            else:
-                enc_min_bit = enc_v_bits[i] + enc_lambda
-            minimum_bits.append(enc_min_bit)
-        return minimum_bits
-
-    # -- shared P1 bookkeeping -------------------------------------------------
+    # -- P1 bookkeeping ----------------------------------------------------------
     def _p1_bit_vectors(
         self, enc_u_bit: Ciphertext, enc_v_bit: Ciphertext,
         enc_uv: Ciphertext, f_is_u_greater: bool, enc_h_previous: Ciphertext,
-    ) -> tuple[Ciphertext, Ciphertext, Ciphertext, int, Ciphertext]:
+    ) -> tuple[Ciphertext, Ciphertext, int, Ciphertext]:
         """One bit's W/Gamma/G/H/Phi/L bookkeeping (step 1 of Algorithm 3).
 
-        Shared between the scalar and the batched execution paths; the SM
-        product ``Epk(u_i * v_i)`` is supplied by the caller.
+        The SM product ``Epk(u_i * v_i)`` is supplied by the caller.
 
         Returns:
-            ``(W_i, Gamma_i, L_i, rhat_i, H_i)``.
+            ``(Gamma_i, L_i, rhat_i, H_i)``.
         """
-        n = self.pk.n
         if f_is_u_greater:
             # W_i = E(u_i * (1 - v_i));  Gamma_i = E(v_i - u_i + rhat_i)
-            enc_w = self.sub(enc_u_bit, enc_uv)
-            enc_diff = self.sub(enc_v_bit, enc_u_bit)
+            enc_w = enc_u_bit - enc_uv
+            enc_diff = enc_v_bit - enc_u_bit
         else:
             # W_i = E(v_i * (1 - u_i));  Gamma_i = E(u_i - v_i + rhat_i)
-            enc_w = self.sub(enc_v_bit, enc_uv)
-            enc_diff = self.sub(enc_u_bit, enc_v_bit)
+            enc_w = enc_v_bit - enc_uv
+            enc_diff = enc_u_bit - enc_v_bit
         # Randomized difference mask: a precomputed nonzero tuple when an
         # engine is attached (``E(rhat)`` paid offline), inline otherwise.
         rhat, enc_rhat = self.take_mask("nonzero")
@@ -162,10 +91,10 @@ class SecureMinimum(TwoPartyProtocol):
         enc_h = (enc_h_previous * r_i) + enc_g
 
         # Phi_i = E(-1) * H_i;  L_i = W_i * Phi_i^{r'_i}
-        enc_phi = self.add_plain(enc_h, n - 1)
+        enc_phi = self.add_plain(enc_h, -1)
         r_prime = self.p1.random_nonzero()
         enc_l = enc_w + (enc_phi * r_prime)
-        return enc_w, enc_gamma, enc_l, rhat, enc_h
+        return enc_gamma, enc_l, rhat, enc_h
 
     # -- batched execution -----------------------------------------------------
     @traced_round("run_batch", sized=True)
@@ -174,13 +103,13 @@ class SecureMinimum(TwoPartyProtocol):
     ) -> list[list[Ciphertext]]:
         """Compute ``[min(u_i, v_i)]`` for a whole vector of bit-vector pairs.
 
-        Functionally (and in per-pair operation counts) identical to
-        ``[self.run(u, v) for u, v in pairs]``, executed as one three-message
-        round: every pair's per-bit SM products run through one batched SM
-        invocation, P2 decrypts all permuted L vectors with the vectorized
-        CRT kernel, and each pair keeps its own oblivious-functionality coin
-        and permutations so the security argument is unchanged.  SMIN_n's
-        tournament rounds call this with all pairs of a level.
+        Algorithm 3 for every pair at once, with the paper's per-pair
+        operation counts, in one four-message round: every pair's per-bit SM
+        products run through one batched SM invocation, P2 decrypts all
+        permuted L vectors with the vectorized CRT kernel, and each pair
+        keeps its own oblivious-functionality coin and permutations so the
+        security argument is unchanged.  SMIN_n calls this with all pairs of
+        a tournament level; a single minimum is a batch of one.
 
         Args:
             pairs: ``(u_bits, v_bits)`` tuples; every bit vector across all
@@ -215,7 +144,7 @@ class SecureMinimum(TwoPartyProtocol):
             gamma_masks: list[int] = []
             for i in range(bit_length):
                 enc_uv = products[index * bit_length + i]
-                _, enc_gamma, enc_l, rhat, enc_h_previous = \
+                enc_gamma, enc_l, rhat, enc_h_previous = \
                     self._p1_bit_vectors(enc_u_bits[i], enc_v_bits[i], enc_uv,
                                          f_is_u_greater, enc_h_previous)
                 gamma_masks.append(rhat)
@@ -258,23 +187,15 @@ class SecureMinimum(TwoPartyProtocol):
         return results
 
     # -- P2 side -------------------------------------------------------------
-    def _p2_decide_alpha(self) -> None:
-        """P2 decrypts the permuted L vector and forms ``alpha`` and ``M'``.
+    def _p2_decide_alpha_batch(self) -> None:
+        """Step 2: P2 decrypts each pair's permuted L vector and forms
+        ``alpha`` and ``M'``.
 
         ``alpha = 1`` when some entry of the decrypted L vector equals 1 (the
         outcome of P1's secretly chosen functionality F is true), otherwise 0.
         ``M'_i = Gamma'_i ^ alpha`` so that P1 later recovers
         ``alpha * (diff_i + rhat_i)`` without learning alpha.
         """
-        permuted_gamma, permuted_l = self.p2.receive(expected_tag="SMIN.gamma_and_l")
-        decrypted_l = [self.p2.decrypt_residue(c) for c in permuted_l]
-        alpha = 1 if any(value == 1 for value in decrypted_l) else 0
-        m_prime = [enc_gamma * alpha for enc_gamma in permuted_gamma]
-        enc_alpha = self.encrypt_pooled_constant(self.p2, alpha)
-        self.p2.send([m_prime, enc_alpha], tag="SMIN.masked_minimum")
-
-    def _p2_decide_alpha_batch(self) -> None:
-        """Batched step 2: one alpha decision per pair, vectorized decryption."""
         received_payload = self.p2.receive(expected_tag="SMIN.batch_gamma_and_l")
         flat_l = [cipher for _, permuted_l in received_payload
                   for cipher in permuted_l]

@@ -92,10 +92,13 @@ class SecureMinimumOfN(TwoPartyProtocol):
 
     def _run_chain(self, encrypted_values: Sequence[Sequence[Ciphertext]]
                    ) -> list[Ciphertext]:
-        """Sequential left fold — same work, maximal depth (ablation only)."""
+        """Sequential left fold — same work, maximal depth (ablation only).
+
+        Each step is a batched SMIN round with one pair.
+        """
         current = list(encrypted_values[0])
         for bits in encrypted_values[1:]:
-            current = self._smin.run(current, list(bits))
+            [current] = self._smin.run_batch([(current, list(bits))])
         return current
 
     # -- analytics ---------------------------------------------------------------

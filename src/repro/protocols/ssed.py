@@ -10,7 +10,9 @@ The construction is a direct homomorphic evaluation of
 
 where each encrypted difference ``Epk(x_i - y_i)`` is obtained locally by P1
 (homomorphic subtraction) and each square is obtained through one invocation
-of the Secure Multiplication protocol.
+of the Secure Multiplication protocol.  :meth:`SecureSquaredEuclideanDistance.
+run_many` evaluates it against many vectors in one round; a single distance is
+a scan of one record.
 """
 
 from __future__ import annotations
@@ -32,33 +34,6 @@ class SecureSquaredEuclideanDistance(TwoPartyProtocol):
     def __init__(self, setting) -> None:
         super().__init__(setting)
         self._sm = SecureMultiplication(setting)
-
-    @traced_round("run")
-    def run(self, enc_x: Sequence[Ciphertext],
-            enc_y: Sequence[Ciphertext]) -> Ciphertext:
-        """Compute ``Epk(|X - Y|^2)`` from ``Epk(X)`` and ``Epk(Y)``.
-
-        Args:
-            enc_x: attribute-wise encryption of the m-dimensional vector X.
-            enc_y: attribute-wise encryption of the m-dimensional vector Y.
-
-        Returns:
-            ``Epk(sum_i (x_i - y_i)^2)``, known only to P1.
-        """
-        self.require(len(enc_x) == len(enc_y),
-                     f"dimension mismatch: {len(enc_x)} vs {len(enc_y)}")
-        self.require(len(enc_x) > 0, "vectors must have at least one attribute")
-
-        total: Ciphertext | None = None
-        for enc_xi, enc_yi in zip(enc_x, enc_y):
-            # Step 1: E(x_i - y_i) computed locally by P1.
-            enc_diff = self.sub(enc_xi, enc_yi)
-            # Step 2: E((x_i - y_i)^2) via the SM protocol with P2.
-            enc_square = self._sm.run(enc_diff, enc_diff)
-            # Step 3: homomorphic accumulation by P1.
-            total = enc_square if total is None else total + enc_square
-        assert total is not None
-        return total
 
     @traced_round("run_many")
     def run_many(self, enc_x: Sequence[Ciphertext],

@@ -1,10 +1,11 @@
-"""Equivalence of the batched protocol rounds with the scalar reference paths.
+"""Equivalence of many-item batches with per-item batches of one.
 
-The vectorized kernel refactor (batched SM/SSED/SBD/SMIN rounds, chunked
-worker scans) must be a pure performance change: every batched execution has
-to produce the same functional outputs as the per-item scalar protocols, and
-the full query protocols built on top of it must keep matching the plaintext
-kNN oracle end-to-end.
+Every sub-protocol has one execution path, its batch entry point, so a
+single input is a batch of one.  Batching many items into one round (SM,
+SSED, SBD, SMIN rounds; chunked worker scans) must be a pure performance
+change: it has to produce the same functional outputs as running each item
+alone, and the full query protocols built on top of it must keep matching
+the plaintext kNN oracle end-to-end.
 """
 
 from __future__ import annotations
@@ -14,11 +15,7 @@ from random import Random
 import pytest
 
 from repro.core.cloud import FederatedCloud
-from repro.core.parallel import (
-    chunk_records,
-    ssed_chunk_worker,
-    ssed_record_worker,
-)
+from repro.core.parallel import chunk_records, ssed_chunk_worker
 from repro.core.roles import DataOwner, QueryClient
 from repro.core.sknn_basic import SkNNBasic
 from repro.core.sknn_secure import SkNNSecure
@@ -38,9 +35,9 @@ class TestBatchedSubProtocols:
         operands = [(3, 4), (-7, 2), (0, 99), (250, 250), (-5, -6)]
         pairs = [(public.encrypt(a), public.encrypt(b)) for a, b in operands]
         batch = protocol.run_batch(pairs)
-        scalar = [protocol.run(a, b) for a, b in pairs]
+        singles = [protocol.run_batch([pair])[0] for pair in pairs]
         decrypt = setting.decryptor.decrypt_signed
-        assert [decrypt(c) for c in batch] == [decrypt(c) for c in scalar]
+        assert [decrypt(c) for c in batch] == [decrypt(c) for c in singles]
         assert [decrypt(c) for c in batch] == [a * b for a, b in operands]
 
     def test_sm_batch_empty_input(self, setting):
@@ -54,10 +51,10 @@ class TestBatchedSubProtocols:
         enc_query = public.encrypt_vector(query)
         enc_records = [public.encrypt_vector(r) for r in records]
         batch = protocol.run_many(enc_query, enc_records)
-        scalar = [protocol.run(enc_query, enc_record)
+        singles = [protocol.run_many(enc_query, [enc_record])[0]
                   for enc_record in enc_records]
         decrypt = setting.decryptor.decrypt_signed
-        assert [decrypt(c) for c in batch] == [decrypt(c) for c in scalar]
+        assert [decrypt(c) for c in batch] == [decrypt(c) for c in singles]
         expected = [sum((a - b) ** 2 for a, b in zip(query, record))
                     for record in records]
         assert [decrypt(c) for c in batch] == expected
@@ -74,11 +71,14 @@ class TestBatchedSubProtocols:
         protocol = SecureBitDecomposition(setting, bit_length=7)
         public = setting.public_key
         values = [0, 1, 63, 64, 127, 90]
-        batch = protocol.run_batch([public.encrypt(v) for v in values])
+        enc_values = [public.encrypt(v) for v in values]
+        batch = protocol.run_batch(enc_values)
+        singles = [protocol.run_batch([enc_value])[0]
+                  for enc_value in enc_values]
         decrypt = setting.decryptor.decrypt_signed
-        for value, enc_bits in zip(values, batch):
-            bits = [decrypt(b) for b in enc_bits]
-            assert bits_to_int(bits) == value
+        for value, enc_bits, one_bits in zip(values, batch, singles):
+            assert bits_to_int([decrypt(b) for b in enc_bits]) == value
+            assert bits_to_int([decrypt(b) for b in one_bits]) == value
 
     def test_smin_batch_matches_scalar_runs(self, setting):
         protocol = SecureMinimum(setting)
@@ -87,9 +87,11 @@ class TestBatchedSubProtocols:
         pairs = [(encrypt_bits(public, u, 5), encrypt_bits(public, v, 5))
                  for u, v in cases]
         batch = protocol.run_batch(pairs)
+        singles = [protocol.run_batch([pair])[0] for pair in pairs]
         decrypt = setting.decryptor.decrypt_signed
-        for (u, v), enc_bits in zip(cases, batch):
+        for (u, v), enc_bits, one_bits in zip(cases, batch, singles):
             assert bits_to_int([decrypt(b) for b in enc_bits]) == min(u, v)
+            assert bits_to_int([decrypt(b) for b in one_bits]) == min(u, v)
 
     def test_smin_batch_rejects_mixed_lengths(self, setting):
         protocol = SecureMinimum(setting)
@@ -103,8 +105,8 @@ class TestBatchedSubProtocols:
 
 class TestChunkedWorkers:
     def test_chunk_worker_matches_record_worker(self, small_keypair):
-        """The vectorized chunk kernel returns the same plaintext distances
-        as the per-record scalar worker on identical inputs."""
+        """A many-record chunk returns the same plaintext distances as
+        one-record chunks (the per-record work unit) on identical inputs."""
         public = small_keypair.public_key
         private = small_keypair.private_key
         rng = Random(31)
@@ -124,11 +126,12 @@ class TestChunkedWorkers:
             for query_index, query in enumerate(queries):
                 expected = sum((a - b) ** 2 for a, b in zip(record, query))
                 assert chunk[record_index][query_index] == expected
-                # scalar reference worker agrees
-                _, scalar_distance = ssed_record_worker(
-                    (record_index, enc_records[record_index],
-                     enc_queries[query_index], n, p, q, 78))
-                assert scalar_distance == expected
+                # a one-record chunk agrees
+                _, [[single_distance]] = ssed_chunk_worker(
+                    (record_index, [enc_records[record_index]],
+                     [enc_queries[query_index]], n, p, q, 78,
+                     get_backend().name))
+                assert single_distance == expected
 
     def test_chunk_records_partitioning(self):
         assert chunk_records(0, 4) == []

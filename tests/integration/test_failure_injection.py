@@ -127,9 +127,10 @@ class TestTransportFaults:
     def test_tag_mismatch_detected(self, small_keypair):
         """A message consumed by the wrong protocol step raises immediately."""
         channel = DuplexChannel("C1", "C2")
-        channel.send("C1", small_keypair.public_key.encrypt(1), tag="SM.masked_operands")
+        channel.send("C1", small_keypair.public_key.encrypt(1),
+                     tag="SM.batch_masked_operands")
         with pytest.raises(ChannelError):
-            channel.receive("C2", expected_tag="SBD.masked_value")
+            channel.receive("C2", expected_tag="SBD.batch_masked_values")
 
     def test_corrupted_ciphertext_changes_decryption(self, small_keypair):
         """Bit-flipping a ciphertext in transit yields garbage, not the value."""

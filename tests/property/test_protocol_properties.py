@@ -3,7 +3,8 @@
 These exercise the protocol invariants on arbitrary inputs from the declared
 domains: SM multiplies, SSED computes the squared distance, SBD decomposes,
 SMIN/SMIN_n select the true minimum, SBOR computes OR — always under
-encryption, always checked against the plaintext ground truth.
+encryption, always checked against the plaintext ground truth.  A single
+input is a batch of one, run through each protocol's batch entry point.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ vectors = st.lists(attribute_values, min_size=1, max_size=6)
 def test_sm_computes_products(a, b):
     setting = cached_setting()
     keypair = cached_keypair()
-    result = SecureMultiplication(setting).run(
-        setting.public_key.encrypt(a), setting.public_key.encrypt(b))
+    [result] = SecureMultiplication(setting).run_batch(
+        [(setting.public_key.encrypt(a), setting.public_key.encrypt(b))])
     assert keypair.private_key.decrypt_raw_residue(result) == a * b
 
 
@@ -41,9 +42,9 @@ def test_ssed_computes_squared_distance(data):
     keypair = cached_keypair()
     x = data.draw(vectors)
     y = data.draw(st.lists(attribute_values, min_size=len(x), max_size=len(x)))
-    result = SecureSquaredEuclideanDistance(setting).run(
+    [result] = SecureSquaredEuclideanDistance(setting).run_many(
         setting.public_key.encrypt_vector(x),
-        setting.public_key.encrypt_vector(y))
+        [setting.public_key.encrypt_vector(y)])
     expected = sum((a - b) ** 2 for a, b in zip(x, y))
     assert keypair.private_key.decrypt_raw_residue(result) == expected
 
@@ -53,8 +54,8 @@ def test_ssed_computes_squared_distance(data):
 def test_sbd_round_trip(value):
     setting = cached_setting()
     keypair = cached_keypair()
-    bits = SecureBitDecomposition(setting, BIT_LENGTH).run(
-        setting.public_key.encrypt(value))
+    [bits] = SecureBitDecomposition(setting, BIT_LENGTH).run_batch(
+        [setting.public_key.encrypt(value)])
     assert decrypt_bits(keypair.private_key, bits) == value
 
 
@@ -63,9 +64,9 @@ def test_sbd_round_trip(value):
 def test_smin_selects_minimum(u, v):
     setting = cached_setting()
     keypair = cached_keypair()
-    result = SecureMinimum(setting).run(
-        encrypt_bits(setting.public_key, u, BIT_LENGTH),
-        encrypt_bits(setting.public_key, v, BIT_LENGTH))
+    [result] = SecureMinimum(setting).run_batch(
+        [(encrypt_bits(setting.public_key, u, BIT_LENGTH),
+          encrypt_bits(setting.public_key, v, BIT_LENGTH))])
     assert decrypt_bits(keypair.private_key, result) == min(u, v)
 
 
@@ -84,8 +85,8 @@ def test_sminn_selects_global_minimum(values):
 def test_sbor_is_logical_or(a, b):
     setting = cached_setting()
     keypair = cached_keypair()
-    result = SecureBitOr(setting).run(
-        setting.public_key.encrypt(a), setting.public_key.encrypt(b))
+    [result] = SecureBitOr(setting).run_batch(
+        [(setting.public_key.encrypt(a), setting.public_key.encrypt(b))])
     assert keypair.private_key.decrypt(result) == (a | b)
 
 
@@ -96,10 +97,12 @@ def test_smin_is_commutative(u, v):
     setting = cached_setting()
     keypair = cached_keypair()
     protocol = SecureMinimum(setting)
-    first = decrypt_bits(keypair.private_key, protocol.run(
-        encrypt_bits(setting.public_key, u, BIT_LENGTH),
-        encrypt_bits(setting.public_key, v, BIT_LENGTH)))
-    second = decrypt_bits(keypair.private_key, protocol.run(
-        encrypt_bits(setting.public_key, v, BIT_LENGTH),
-        encrypt_bits(setting.public_key, u, BIT_LENGTH)))
+    [first_bits] = protocol.run_batch(
+        [(encrypt_bits(setting.public_key, u, BIT_LENGTH),
+          encrypt_bits(setting.public_key, v, BIT_LENGTH))])
+    [second_bits] = protocol.run_batch(
+        [(encrypt_bits(setting.public_key, v, BIT_LENGTH),
+          encrypt_bits(setting.public_key, u, BIT_LENGTH))])
+    first = decrypt_bits(keypair.private_key, first_bits)
+    second = decrypt_bits(keypair.private_key, second_bits)
     assert first == second == min(u, v)

@@ -144,14 +144,37 @@ class TestScalarMulRegression:
     def test_negation_via_inverse_matches_textbook(self, public_key,
                                                    private_key):
         cipher = public_key.encrypt(1234)
-        via_inverse = public_key.raw_negate(cipher.value)
+        via_inverse = public_key.raw_scalar_mul(cipher.value, -1)
         via_pow = pow(cipher.value, public_key.n - 1, public_key.nsquare)
         decrypt = private_key.decrypt
         assert decrypt(type(cipher)(public_key, via_inverse)) == -1234
         assert decrypt(type(cipher)(public_key, via_pow)) == -1234
 
-    def test_raw_negate_counts_as_exponentiation(self, public_key):
-        cipher = public_key.encrypt(5)
-        before = public_key.counter.exponentiations
-        public_key.raw_negate(cipher.value)
-        assert public_key.counter.exponentiations == before + 1
+    def test_every_negation_takes_the_inverse_once(self, public_key,
+                                                   private_key):
+        """Each spelling of ``E(-a)`` is the modular inverse of ``E(a)``,
+        counts exactly one exponentiation, and decrypts like the textbook
+        ``E(a)**(N-1)``."""
+        cipher = public_key.encrypt(77)
+        ciphertext_type = type(cipher)
+        n, nsquare = public_key.n, public_key.nsquare
+        inverse = get_backend().invert(cipher.value, nsquare)
+        textbook = private_key.decrypt(
+            ciphertext_type(public_key, pow(cipher.value, n - 1, nsquare)))
+        assert textbook == -77
+        # Raw value 1 is the trivial encryption of 0, so 0 - c is exactly -c.
+        zero = ciphertext_type(public_key, 1)
+        negations = {
+            "c * -1": lambda: cipher * -1,
+            "-c": lambda: -cipher,
+            "c * (N-1)": lambda: cipher * (n - 1),
+            "0 - c": lambda: zero - cipher,
+            "scalar_mul_batch": lambda: public_key.scalar_mul_batch(
+                [cipher], -1)[0],
+        }
+        for spelling, negate in negations.items():
+            before = public_key.counter.exponentiations
+            negated = negate()
+            assert public_key.counter.exponentiations == before + 1, spelling
+            assert negated.value == inverse, spelling
+            assert private_key.decrypt(negated) == textbook, spelling

@@ -22,19 +22,15 @@ from repro.transport.daemon import ShareMailbox
 #: every tag the SM/SSED/SBD/SMIN/SMIN_n/SkNN drivers send toward C2 —
 #: each MUST resolve to a handler on the C2 daemon or the driver deadlocks.
 EXPECTED_SECURE_TAGS = {
-    "SM.masked_operands",
     "SM.batch_masked_operands",
     "SM.batch_masked_squares",
-    "SBD.masked_value",
     "SBD.batch_masked_values",
-    "SMIN.gamma_and_l",
     "SMIN.batch_gamma_and_l",
     "SkNNm.randomized_differences",
     "SkNN.masked_results",
 }
 
 EXPECTED_BASIC_TAGS = {
-    "SM.masked_operands",
     "SM.batch_masked_operands",
     "SM.batch_masked_squares",
     "SkNNb.encrypted_distances",
@@ -76,9 +72,10 @@ class TestDispatchSemantics:
         protocol = SecureMultiplication(setting)
         pk = setting.public_key
         enc = pk.encrypt(6)
-        setting.evaluator.send([enc, enc], tag="SM.masked_operands")
-        protocol.p2_step("SM.masked_operands")
-        reply = setting.evaluator.receive(expected_tag="SM.masked_product")
+        setting.evaluator.send([[enc], [enc]], tag="SM.batch_masked_operands")
+        protocol.p2_step("SM.batch_masked_operands")
+        [reply] = setting.evaluator.receive(
+            expected_tag="SM.batch_masked_products")
         assert setting.decryptor.decrypt_signed(reply) == 36
 
     def test_remote_channel_skips_inline_execution(self, setting):
@@ -86,8 +83,8 @@ class TestDispatchSemantics:
         protocol = SecureMultiplication(setting)
         setting.channel.runs_both_parties = False
         try:
-            setting.evaluator.send([1, 2], tag="SM.masked_operands")
-            assert protocol.p2_step("SM.masked_operands") is None
+            setting.evaluator.send([[1], [2]], tag="SM.batch_masked_operands")
+            assert protocol.p2_step("SM.batch_masked_operands") is None
             # The message was NOT consumed locally.
             assert setting.channel.pending("C2") == 1
         finally:

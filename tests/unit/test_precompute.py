@@ -260,7 +260,8 @@ class TestPerPartySeparation:
         setting.attach_engine(c1_engine, c2_engine)
         try:
             protocol = SecureBitDecomposition(setting, bit_length=5)
-            bits = protocol.run(small_keypair.public_key.encrypt(13))
+            [bits] = protocol.run_batch(
+                [small_keypair.public_key.encrypt(13)])
             from repro.protocols.encoding import decrypt_bits
             assert decrypt_bits(small_keypair.private_key, bits) == 13
             # P2's parity encryptions (E(0)/E(1)) were served by C2's own

@@ -23,19 +23,19 @@ class _EchoProtocol(TwoPartyProtocol):
 class TestCiphertextHelpers:
     def test_sub_is_homomorphic_subtraction(self, setting, private_key):
         protocol = TwoPartyProtocol(setting)
-        result = protocol.sub(setting.public_key.encrypt(30),
-                              setting.public_key.encrypt(12))
+        [result] = protocol.sub_batch([setting.public_key.encrypt(30)],
+                                      [setting.public_key.encrypt(12)])
         assert private_key.decrypt(result) == 18
 
     def test_scale_multiplies_by_plaintext(self, setting, private_key):
-        protocol = TwoPartyProtocol(setting)
-        result = protocol.scale(setting.public_key.encrypt(7), 6)
+        [result] = setting.public_key.scalar_mul_batch(
+            [setting.public_key.encrypt(7)], 6)
         assert private_key.decrypt(result) == 42
 
     def test_scale_reduces_scalar_mod_n(self, setting, private_key):
-        protocol = TwoPartyProtocol(setting)
         n = setting.public_key.n
-        result = protocol.scale(setting.public_key.encrypt(7), n + 2)
+        [result] = setting.public_key.scalar_mul_batch(
+            [setting.public_key.encrypt(7)], n + 2)
         assert private_key.decrypt(result) == 14
 
     def test_add_plain_adds_constant(self, setting, private_key):
@@ -50,7 +50,9 @@ class TestCiphertextHelpers:
 
     def test_encrypt_constant_is_fresh(self, setting):
         protocol = TwoPartyProtocol(setting)
-        assert protocol.encrypt_constant(5).value != protocol.encrypt_constant(5).value
+        first = protocol.encrypt_pooled_constant(protocol.p1, 5)
+        second = protocol.encrypt_pooled_constant(protocol.p1, 5)
+        assert first.value != second.value
 
     def test_require_raises_protocol_error_with_name(self, setting):
         protocol = TwoPartyProtocol(setting)
@@ -66,7 +68,7 @@ class TestCiphertextHelpers:
 class TestInstrumentation:
     def test_instrumented_run_returns_output_and_stats(self, setting):
         protocol = _EchoProtocol(setting)
-        result = protocol.run_instrumented(-41)
+        result = protocol.run_instrumented(protocol.run, -41)
         assert isinstance(result, ProtocolResult)
         assert result.output == -41
         assert result.stats.protocol == "ECHO"
@@ -78,8 +80,8 @@ class TestInstrumentation:
     def test_instrumentation_is_incremental(self, setting):
         """A second run measures only its own operations, not the first run's."""
         protocol = _EchoProtocol(setting)
-        protocol.run_instrumented(1)
-        second = protocol.run_instrumented(2)
+        protocol.run_instrumented(protocol.run, 1)
+        second = protocol.run_instrumented(protocol.run, 2)
         assert second.stats.total_encryptions == 1
         assert second.stats.ciphertexts_exchanged == 1
 

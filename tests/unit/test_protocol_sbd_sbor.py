@@ -1,4 +1,7 @@
-"""Unit tests for the SBD, SBOR and SBXOR sub-protocols."""
+"""Unit tests for the SBD, SBOR and SBXOR sub-protocols.
+
+A single input is a batch of one: each protocol runs through ``run_batch``.
+"""
 
 from __future__ import annotations
 
@@ -10,18 +13,30 @@ from repro.protocols.sbd import SecureBitDecomposition
 from repro.protocols.sbor import SecureBitOr, SecureBitXor
 
 
+def decompose(protocol, enc_value):
+    """One SBD invocation: a batch of one value."""
+    [bits] = protocol.run_batch([enc_value])
+    return bits
+
+
+def combine(protocol, enc_bit_a, enc_bit_b):
+    """One SBOR/SBXOR invocation: a batch of one pair."""
+    [result] = protocol.run_batch([(enc_bit_a, enc_bit_b)])
+    return result
+
+
 class TestSecureBitDecomposition:
     def test_paper_example_4(self, setting, private_key):
         """Example 4: z=55, l=6 must give bits <1,1,0,1,1,1> (MSB first)."""
         protocol = SecureBitDecomposition(setting, bit_length=6)
-        bits = protocol.run(setting.public_key.encrypt(55))
+        bits = decompose(protocol, setting.public_key.encrypt(55))
         decrypted = [private_key.decrypt(b) for b in bits]
         assert decrypted == [1, 1, 0, 1, 1, 1]
 
     def test_round_trip_all_values_small_domain(self, setting, private_key):
         protocol = SecureBitDecomposition(setting, bit_length=4)
         for value in range(16):
-            bits = protocol.run(setting.public_key.encrypt(value))
+            bits = decompose(protocol, setting.public_key.encrypt(value))
             assert decrypt_bits(private_key, bits) == value
 
     def test_round_trip_random_values(self, setting, private_key, rng):
@@ -29,24 +44,23 @@ class TestSecureBitDecomposition:
         protocol = SecureBitDecomposition(setting, bit_length=bit_length)
         for _ in range(10):
             value = rng.randrange(0, 1 << bit_length)
-            bits = protocol.run(setting.public_key.encrypt(value))
+            bits = decompose(protocol, setting.public_key.encrypt(value))
             assert decrypt_bits(private_key, bits) == value
 
     def test_zero_and_maximum(self, setting, private_key):
         protocol = SecureBitDecomposition(setting, bit_length=8)
-        assert decrypt_bits(private_key,
-                            protocol.run(setting.public_key.encrypt(0))) == 0
-        assert decrypt_bits(private_key,
-                            protocol.run(setting.public_key.encrypt(255))) == 255
+        for value in (0, 255):
+            bits = decompose(protocol, setting.public_key.encrypt(value))
+            assert decrypt_bits(private_key, bits) == value
 
     def test_output_length_matches_bit_length(self, setting):
         protocol = SecureBitDecomposition(setting, bit_length=9)
-        bits = protocol.run(setting.public_key.encrypt(5))
+        bits = decompose(protocol, setting.public_key.encrypt(5))
         assert len(bits) == 9
 
     def test_each_output_is_a_bit(self, setting, private_key):
         protocol = SecureBitDecomposition(setting, bit_length=7)
-        bits = protocol.run(setting.public_key.encrypt(93))
+        bits = decompose(protocol, setting.public_key.encrypt(93))
         for encrypted_bit in bits:
             assert private_key.decrypt(encrypted_bit) in (0, 1)
 
@@ -64,9 +78,9 @@ class TestSecureBitDecomposition:
         value = 37
         protocol = SecureBitDecomposition(setting, bit_length=6)
         setting.channel.transcript.clear()
-        protocol.run(setting.public_key.encrypt(value))
-        for payload in setting.channel.transcript_payloads("C1"):
-            decrypted = private_key.decrypt_raw_residue(payload)
+        decompose(protocol, setting.public_key.encrypt(value))
+        for [masked] in setting.channel.transcript_payloads("C1"):
+            decrypted = private_key.decrypt_raw_residue(masked)
             # The masked value could coincide with the true value only with
             # negligible probability; a direct equality would indicate the
             # mask was not applied.
@@ -78,23 +92,23 @@ class TestSecureBitOr:
         protocol = SecureBitOr(setting)
         for a in (0, 1):
             for b in (0, 1):
-                result = protocol.run(setting.public_key.encrypt(a),
-                                      setting.public_key.encrypt(b))
+                result = combine(protocol, setting.public_key.encrypt(a),
+                                           setting.public_key.encrypt(b))
                 assert private_key.decrypt(result) == (a | b)
 
     def test_or_with_one_saturates(self, setting, private_key):
         """OR with 1 always yields 1 — the property SkNN_m's step 3(e) uses."""
         protocol = SecureBitOr(setting)
         for bit in (0, 1):
-            result = protocol.run(setting.public_key.encrypt(1),
-                                  setting.public_key.encrypt(bit))
+            result = combine(protocol, setting.public_key.encrypt(1),
+                                       setting.public_key.encrypt(bit))
             assert private_key.decrypt(result) == 1
 
     def test_or_with_zero_is_identity(self, setting, private_key):
         protocol = SecureBitOr(setting)
         for bit in (0, 1):
-            result = protocol.run(setting.public_key.encrypt(0),
-                                  setting.public_key.encrypt(bit))
+            result = combine(protocol, setting.public_key.encrypt(0),
+                                       setting.public_key.encrypt(bit))
             assert private_key.decrypt(result) == bit
 
 
@@ -103,8 +117,8 @@ class TestSecureBitXor:
         protocol = SecureBitXor(setting)
         for a in (0, 1):
             for b in (0, 1):
-                result = protocol.run(setting.public_key.encrypt(a),
-                                      setting.public_key.encrypt(b))
+                result = combine(protocol, setting.public_key.encrypt(a),
+                                           setting.public_key.encrypt(b))
                 assert private_key.decrypt(result) == (a ^ b)
 
     def test_xor_from_precomputed_product(self, setting, private_key):

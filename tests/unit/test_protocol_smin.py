@@ -1,4 +1,7 @@
-"""Unit tests for SMIN and SMIN_n (Algorithms 3 and 4)."""
+"""Unit tests for SMIN and SMIN_n (Algorithms 3 and 4).
+
+A single SMIN is a batch of one: it runs through ``run_batch`` with one pair.
+"""
 
 from __future__ import annotations
 
@@ -12,11 +15,18 @@ from repro.protocols.smin import SecureMinimum
 from repro.protocols.sminn import SecureMinimumOfN
 
 
+def minimum(protocol, enc_u_bits, enc_v_bits):
+    """One SMIN invocation: a batch of one pair."""
+    [result] = protocol.run_batch([(enc_u_bits, enc_v_bits)])
+    return result
+
+
 class TestSecureMinimum:
     def test_paper_example_5(self, setting, private_key):
         """Example 5: u=55, v=58, l=6 — the minimum is 55."""
         protocol = SecureMinimum(setting)
-        result = protocol.run(
+        result = minimum(
+            protocol,
             encrypt_bits(setting.public_key, 55, 6),
             encrypt_bits(setting.public_key, 58, 6),
         )
@@ -28,7 +38,8 @@ class TestSecureMinimum:
     ])
     def test_boundary_pairs(self, setting, private_key, u, v):
         protocol = SecureMinimum(setting)
-        result = protocol.run(
+        result = minimum(
+            protocol,
             encrypt_bits(setting.public_key, u, 6),
             encrypt_bits(setting.public_key, v, 6),
         )
@@ -41,7 +52,8 @@ class TestSecureMinimum:
             for _ in range(5):
                 u = rng.randrange(0, 1 << bit_length)
                 v = rng.randrange(0, 1 << bit_length)
-                result = protocol.run(
+                result = minimum(
+                    protocol,
                     encrypt_bits(setting.public_key, u, bit_length),
                     encrypt_bits(setting.public_key, v, bit_length),
                 )
@@ -49,7 +61,8 @@ class TestSecureMinimum:
 
     def test_output_bits_are_bits(self, setting, private_key):
         protocol = SecureMinimum(setting)
-        result = protocol.run(
+        result = minimum(
+            protocol,
             encrypt_bits(setting.public_key, 21, 6),
             encrypt_bits(setting.public_key, 42, 6),
         )
@@ -59,7 +72,8 @@ class TestSecureMinimum:
     def test_rejects_mismatched_lengths(self, setting):
         protocol = SecureMinimum(setting)
         with pytest.raises(ProtocolError):
-            protocol.run(
+            minimum(
+                protocol,
                 encrypt_bits(setting.public_key, 1, 4),
                 encrypt_bits(setting.public_key, 1, 5),
             )
@@ -67,13 +81,14 @@ class TestSecureMinimum:
     def test_rejects_empty_vectors(self, setting):
         protocol = SecureMinimum(setting)
         with pytest.raises(ProtocolError):
-            protocol.run([], [])
+            minimum(protocol, [], [])
 
     def test_repeated_runs_are_consistent(self, setting, private_key):
         """The random functionality F must never change the functional output."""
         protocol = SecureMinimum(setting)
         for _ in range(8):
-            result = protocol.run(
+            result = minimum(
+                protocol,
                 encrypt_bits(setting.public_key, 13, 6),
                 encrypt_bits(setting.public_key, 29, 6),
             )
@@ -87,14 +102,15 @@ class TestSecureMinimum:
         alphas = set()
         for _ in range(20):
             setting.channel.transcript.clear()
-            protocol.run(
+            minimum(
+                protocol,
                 encrypt_bits(setting.public_key, 5, 4),
                 encrypt_bits(setting.public_key, 9, 4),
             )
-            # The second element of P2's reply is E(alpha).
+            # The second element of P2's reply holds the pair's E(alpha).
             replies = list(setting.channel.transcript_payloads("C2"))
-            smin_reply = replies[-1]
-            alphas.add(private_key.decrypt(smin_reply[1]))
+            [enc_alpha] = replies[-1][1]
+            alphas.add(private_key.decrypt(enc_alpha))
             if len(alphas) == 2:
                 break
         assert alphas == {0, 1}
